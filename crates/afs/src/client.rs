@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// An error from an AFS client operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,8 +223,20 @@ impl AfsClient {
 }
 
 /// The callback-break service each client registers.
+///
+/// Holds the client weakly: the server's callback registry reaches this
+/// service and the client reaches the server, so a strong reference
+/// would keep both alive forever. Once the client is gone every
+/// procedure answers `ProcedureUnavailable`.
 #[derive(Debug, Clone)]
-pub struct AfsCallbackService(pub Arc<AfsClient>);
+pub struct AfsCallbackService(Weak<AfsClient>);
+
+impl AfsCallbackService {
+    /// The callback-break service of `client`.
+    pub fn new(client: &Arc<AfsClient>) -> Self {
+        AfsCallbackService(Arc::downgrade(client))
+    }
+}
 
 impl RpcService for AfsCallbackService {
     fn program(&self) -> u32 {
@@ -234,13 +246,13 @@ impl RpcService for AfsCallbackService {
         AFS_VERSION
     }
     fn call(&self, procedure: u32, payload: &[u8]) -> Result<Vec<u8>, RpcError> {
-        match procedure {
-            procs::BREAK => {
+        match (procedure, self.0.upgrade()) {
+            (procs::BREAK, Some(client)) => {
                 let fid: u64 = gvfs_xdr::from_bytes(payload).map_err(|_| RpcError::GarbageArgs)?;
-                self.0.break_promise(fid);
+                client.break_promise(fid);
                 Ok(Vec::new())
             }
-            p => Err(RpcError::ProcedureUnavailable {
+            (p, _) => Err(RpcError::ProcedureUnavailable {
                 program: crate::proto::AFS_CALLBACK_PROGRAM,
                 procedure: p,
             }),

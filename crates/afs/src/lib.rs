@@ -59,7 +59,7 @@ mod tests {
             SimRpcClient::new(link.forward(), Arc::clone(&cell.node), cell.stats.clone());
         let c = AfsClient::new(id, transport);
         let mut d = Dispatcher::new();
-        d.register(client::AfsCallbackService(Arc::clone(&c)));
+        d.register(client::AfsCallbackService::new(&c));
         let cb_node = ServerNode::new(&format!("afs-cb-{id}"), d, Duration::from_micros(300));
         cell.server
             .register_callback(id, SimRpcClient::new(link.reverse(), cb_node, cell.stats.clone()));
@@ -76,6 +76,23 @@ mod tests {
             assert_eq!(c.read_file("/f").unwrap(), b"afs data");
         });
         sim.run();
+    }
+
+    #[test]
+    fn dropped_client_is_freed_and_its_callbacks_go_unavailable() {
+        use gvfs_rpc::dispatch::RpcService;
+        let cell = cell();
+        let c = client(&cell, 1);
+        let service = client::AfsCallbackService::new(&c);
+        let weak = Arc::downgrade(&c);
+        drop(c);
+        // The server's callback registry still reaches the service.
+        assert!(weak.upgrade().is_none(), "the callback registry must not keep the client alive");
+        let fid = gvfs_xdr::to_bytes(&7u64).unwrap();
+        assert!(matches!(
+            service.call(proto::procs::BREAK, &fid),
+            Err(gvfs_rpc::RpcError::ProcedureUnavailable { .. })
+        ));
     }
 
     #[test]

@@ -195,7 +195,7 @@ fn run_afs(config: LockConfig) -> Outcome {
         let transport = SimRpcClient::new(link.forward(), Arc::clone(&node), stats.clone());
         let client = AfsClient::new(i as u32 + 1, transport);
         let mut cbd = Dispatcher::new();
-        cbd.register(gvfs_afs::AfsCallbackService(Arc::clone(&client)));
+        cbd.register(gvfs_afs::AfsCallbackService::new(&client));
         let cb_node = ServerNode::new(&format!("afs-cb-{i}"), cbd, Duration::from_micros(300));
         server.register_callback(
             i as u32 + 1,

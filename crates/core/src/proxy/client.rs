@@ -47,7 +47,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Deterministic per-client retry jitter: a hash of `(client_id,
@@ -2675,8 +2675,21 @@ impl RpcService for ProxyClient {
 
 /// The callback service facade: the same proxy client, addressable as
 /// the callback RPC program.
+///
+/// Holds the proxy weakly. The proxy server's callback registry (and
+/// every peer's PEERREAD transport) reaches this service, and the proxy
+/// reaches the proxy server over the WAN, so a strong reference would
+/// close a cycle that keeps a dropped session alive. Once the proxy is
+/// gone every procedure answers `ProcedureUnavailable`.
 #[derive(Debug, Clone)]
-pub struct CallbackService(pub Arc<ProxyClient>);
+pub struct CallbackService(Weak<ProxyClient>);
+
+impl CallbackService {
+    /// The callback service of `proxy`.
+    pub fn new(proxy: &Arc<ProxyClient>) -> Self {
+        CallbackService(Arc::downgrade(proxy))
+    }
+}
 
 impl RpcService for CallbackService {
     fn program(&self) -> u32 {
@@ -2686,16 +2699,18 @@ impl RpcService for CallbackService {
         GVFS_VERSION
     }
     fn call(&self, procedure: u32, args: &[u8]) -> Result<Vec<u8>, RpcError> {
-        let result = match procedure {
-            proc_ext::CALLBACK => self.0.handle_callback(args),
-            proc_ext::RECOVER => self.0.handle_recover(),
-            proc_ext::PEERREAD => self.0.handle_peerread(args),
-            p => Err(RpcError::ProcedureUnavailable {
-                program: crate::protocol::GVFS_CALLBACK_PROGRAM,
-                procedure: p,
-            }),
+        let unavailable = RpcError::ProcedureUnavailable {
+            program: crate::protocol::GVFS_CALLBACK_PROGRAM,
+            procedure,
         };
-        self.0.settle_disk();
+        let Some(proxy) = self.0.upgrade() else { return Err(unavailable) };
+        let result = match procedure {
+            proc_ext::CALLBACK => proxy.handle_callback(args),
+            proc_ext::RECOVER => proxy.handle_recover(),
+            proc_ext::PEERREAD => proxy.handle_peerread(args),
+            _ => Err(unavailable),
+        };
+        proxy.settle_disk();
         result
     }
 }

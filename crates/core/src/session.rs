@@ -325,7 +325,7 @@ impl SessionBuilder {
             // Callback service node, reached from the proxy server over
             // the reverse WAN direction.
             let mut cb_dispatcher = Dispatcher::new();
-            cb_dispatcher.register(CallbackService(Arc::clone(&proxy)));
+            cb_dispatcher.register(CallbackService::new(&proxy));
             let cb_node = ServerNode::new(
                 &format!("proxy-client-{id}-callback"),
                 cb_dispatcher,

@@ -5,6 +5,10 @@
 //! (ties broken by actor id, i.e. spawn order). This makes every
 //! simulation fully deterministic while letting protocol code be written
 //! in ordinary blocking style.
+//!
+//! Each actor thread waits on a condition variable of its own, so a
+//! hand-off wakes only the actor that runs next; the cost of switching
+//! actors does not grow with the number of parked actors.
 
 use crate::time::SimTime;
 
@@ -32,12 +36,24 @@ struct Block {
     unparked: bool,
 }
 
-#[derive(Debug)]
 struct ActorRec {
     name: String,
     block: Option<Block>,
     /// A banked unpark delivered while the actor was running or sleeping.
     permit: bool,
+    /// The actor's thread waits here (paired with `Scheduler::state`)
+    /// until it becomes `running`, so a hand-off wakes exactly one thread.
+    cv: Arc<Condvar>,
+}
+
+impl std::fmt::Debug for ActorRec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ActorRec")
+            .field("name", &self.name)
+            .field("block", &self.block)
+            .field("permit", &self.permit)
+            .finish_non_exhaustive()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -61,6 +77,7 @@ struct State {
 
 pub(crate) struct Scheduler {
     state: Mutex<State>,
+    /// The [`Sim::run`] thread waits here for the end of the simulation.
     cv: Condvar,
 }
 
@@ -98,21 +115,43 @@ impl Scheduler {
         }
     }
 
+    /// Wakes whichever thread must act on the state change just made
+    /// under the lock: the newly `running` actor (unless that is the
+    /// caller, who is already awake), the [`Sim::run`] thread once no
+    /// actor is left, and everyone once the simulation has failed, so
+    /// every parked thread observes the failure and exits.
+    fn wake(&self, st: &State, caller: Option<ActorId>) {
+        if st.failed.is_some() {
+            for rec in st.actors.values() {
+                rec.cv.notify_one();
+            }
+            self.cv.notify_one();
+            return;
+        }
+        if let Some(next) = st.running.filter(|&id| Some(id) != caller) {
+            st.actors[&next].cv.notify_one();
+        }
+        if st.live == 0 {
+            self.cv.notify_one();
+        }
+    }
+
     /// Blocks the calling actor and waits to be rescheduled.
     /// Returns whether it was unparked (vs. woken by time).
     fn block_and_wait(&self, id: ActorId, kind: BlockKind, wake_at: Option<SimTime>) -> bool {
         let mut st = self.state.lock();
         debug_assert_eq!(st.running, Some(id), "only the running actor may block");
-        {
+        let cv = {
             let rec = st.actors.get_mut(&id).expect("actor record");
             rec.block = Some(Block { kind, wake_at, unparked: false });
-        }
+            Arc::clone(&rec.cv)
+        };
         if let Some(wake) = wake_at {
             st.ready.push(Reverse((wake, id)));
         }
         st.running = None;
         Self::schedule_next(&mut st);
-        self.cv.notify_all();
+        self.wake(&st, Some(id));
         loop {
             if let Some(msg) = st.failed.clone() {
                 drop(st);
@@ -121,7 +160,7 @@ impl Scheduler {
             if st.running == Some(id) {
                 break;
             }
-            self.cv.wait(&mut st);
+            cv.wait(&mut st);
         }
         let rec = st.actors.get_mut(&id).expect("actor record");
         rec.block.take().map(|b| b.unparked).unwrap_or(false)
@@ -133,6 +172,7 @@ impl Scheduler {
         f: Box<dyn FnOnce() + Send + 'static>,
     ) -> ActorHandle {
         let id;
+        let cv = Arc::new(Condvar::new());
         {
             let mut st = self.state.lock();
             if st.failed.is_some() {
@@ -151,6 +191,7 @@ impl Scheduler {
                         unparked: false,
                     }),
                     permit: false,
+                    cv: Arc::clone(&cv),
                 },
             );
             st.ready.push(Reverse((birth, id)));
@@ -177,7 +218,7 @@ impl Scheduler {
                             rec.block = None;
                             break;
                         }
-                        sched.cv.wait(&mut st);
+                        cv.wait(&mut st);
                     }
                 }
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
@@ -211,7 +252,7 @@ impl Scheduler {
                 Self::schedule_next(&mut st);
             }
         }
-        self.cv.notify_all();
+        self.wake(&st, None);
     }
 }
 
@@ -408,7 +449,7 @@ impl Drop for Sim {
         let mut st = self.sched.state.lock();
         if !st.started && st.live > 0 && st.failed.is_none() {
             st.failed = Some("simulation dropped without running".to_string());
-            self.sched.cv.notify_all();
+            self.sched.wake(&st, None);
         }
     }
 }
@@ -443,11 +484,10 @@ impl Sim {
         if st.running.is_none() {
             Scheduler::schedule_next(&mut st);
         }
-        self.sched.cv.notify_all();
+        self.sched.wake(&st, None);
         loop {
             if let Some(msg) = st.failed.clone() {
-                // Let stuck actor threads observe the failure and exit.
-                self.sched.cv.notify_all();
+                // Whoever set `failed` has already woken every actor.
                 drop(st);
                 panic!("{msg}");
             }
