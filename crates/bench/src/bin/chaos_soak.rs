@@ -1,12 +1,14 @@
 //! Chaos soak: runs the seeded fault-injection scenarios over a seed
 //! matrix, replaying every seed twice to prove determinism, shrinking
 //! any violation to a minimal reproducer, and writing
-//! `results/chaos_violations.json` for CI artifact upload.
+//! `results/chaos_violations.json` for CI artifact upload. A run with
+//! any `--break-*` self-test writes `results/chaos_selftest.json`
+//! instead, so it never overwrites the seed matrix's record.
 //!
 //! Run: `cargo run --release -p gvfs-bench --bin chaos_soak --
 //!       [--seeds N] [--start S] [--model all|passthrough|polling|delegation]
 //!       [--break-recall] [--break-peerread] [--break-scrub]
-//!       [--trace-dir DIR]`
+//!       [--trace-dir DIR]` (`--help` prints the flags)
 //!
 //! `--trace-dir DIR` writes each run's protocol-event trace to
 //! `DIR/<model>-seed<N>.jsonl` for `gvfs-analysis -- replay` conformance
@@ -27,7 +29,7 @@
 //! should be near-universal).
 //!
 //! Exit codes: 0 clean, 1 violations or a determinism break, 2 a
-//! `--break-*` self-test found the harness toothless.
+//! `--break-*` self-test found the harness toothless, or a bad argument.
 
 use gvfs_bench::save_json;
 use gvfs_integration::chaos::{
@@ -35,6 +37,23 @@ use gvfs_integration::chaos::{
     run_peer_partition, run_scenario, shrink_failure, ModelKind, ScenarioConfig,
 };
 use serde_json::json;
+
+const USAGE: &str = "\
+usage: chaos_soak [--seeds N] [--start S] [--model all|passthrough|polling|delegation]
+                  [--break-recall] [--break-peerread] [--break-scrub] [--trace-dir DIR]
+
+  --seeds N         seeds per scenario (default 8)
+  --start S         first seed (default 1)
+  --model M         consistency model of the matrix (default all)
+  --break-recall    self-test: suppress delegation recalls, require conviction
+  --break-peerread  self-test: serve condemned peer blocks, require conviction
+  --break-scrub     self-test: disable verify-on-read, require 7 in 8 convictions
+  --trace-dir DIR   write each run's protocol-event trace to DIR/<model>-seed<N>.jsonl
+
+Writes results/chaos_violations.json, or results/chaos_selftest.json when a
+--break-* self-test runs. Exit codes: 0 clean, 1 violations or a determinism
+break, 2 a self-test found the harness toothless or a bad argument.
+";
 
 struct Args {
     seeds: u64,
@@ -46,7 +65,14 @@ struct Args {
     trace_dir: Option<std::path::PathBuf>,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line; `Ok(None)` asks for the usage text.
+fn parse_args() -> Result<Option<Args>, String> {
+    fn value(argv: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+        argv.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+    fn number(v: &str, flag: &str) -> Result<u64, String> {
+        v.parse().map_err(|_| format!("{flag} takes a number, got {v:?}"))
+    }
     let mut out = Args {
         seeds: 8,
         start: 1,
@@ -59,34 +85,27 @@ fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--seeds" => {
-                let v = argv.next().expect("--seeds needs a count");
-                out.seeds = v.parse().expect("--seeds takes a number");
-            }
-            "--start" => {
-                let v = argv.next().expect("--start needs a seed");
-                out.start = v.parse().expect("--start takes a number");
-            }
+            "--help" | "-h" => return Ok(None),
+            "--seeds" => out.seeds = number(&value(&mut argv, &arg)?, &arg)?,
+            "--start" => out.start = number(&value(&mut argv, &arg)?, &arg)?,
             "--model" => {
-                let v = argv.next().expect("--model needs a name");
                 out.models =
-                    match v.as_str() {
+                    match value(&mut argv, &arg)?.as_str() {
                         "all" => ModelKind::ALL.to_vec(),
                         name => vec![ModelKind::parse(name)
-                            .unwrap_or_else(|| panic!("unknown model {name:?}"))],
+                            .ok_or_else(|| format!("unknown model {name:?}"))?],
                     };
             }
             "--break-recall" => out.break_recall = true,
             "--break-peerread" => out.break_peerread = true,
             "--break-scrub" => out.break_scrub = true,
             "--trace-dir" => {
-                let v = argv.next().expect("--trace-dir needs a directory");
-                out.trace_dir = Some(std::path::PathBuf::from(v));
+                out.trace_dir = Some(std::path::PathBuf::from(value(&mut argv, &arg)?));
             }
-            other => panic!("unknown argument {other:?}"),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    out
+    Ok(Some(out))
 }
 
 fn write_trace(dir: &std::path::Path, name: &str, seed: u64, trace: &str) {
@@ -100,7 +119,17 @@ fn write_trace(dir: &std::path::Path, name: &str, seed: u64, trace: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args() {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprint!("chaos_soak: {e}\n\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let mut violations = Vec::new();
     let mut determinism_breaks = 0u64;
     let mut runs = 0u64;
@@ -443,8 +472,11 @@ fn main() {
         }
     }
 
+    // Self-tests run reduced matrices with broken fixtures: their record
+    // must not overwrite the full matrix's.
+    let selftest = args.break_recall || args.break_peerread || args.break_scrub;
     save_json(
-        "chaos_violations.json",
+        if selftest { "chaos_selftest.json" } else { "chaos_violations.json" },
         &json!({
             "runs": runs,
             "seed_start": args.start,

@@ -128,12 +128,58 @@ type ChunkId = (u64, u32);
 /// block is checked with the same machinery that checks the on-disk
 /// chunks it came from.
 pub fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_extend(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues an FNV-1a state over `bytes`.
+fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Continues an FNV-1a state over `n` zero bytes without touching any:
+/// XOR with zero is the identity, so the run only multiplies the state
+/// by `FNV_PRIME^n`, raised by squaring in O(log n).
+fn fnv_zeros(mut h: u64, mut n: usize) -> u64 {
+    let mut p = FNV_PRIME;
+    while n > 0 {
+        if n & 1 == 1 {
+            h = h.wrapping_mul(p);
+        }
+        p = p.wrapping_mul(p);
+        n >>= 1;
+    }
+    h
+}
+
+/// The sum of one data-file block: `fnv` of its on-disk bytes
+/// zero-padded to `bs` (the padding past end of file never exists on
+/// disk, so it is folded in arithmetically).
+fn block_sum(on_disk: &[u8], bs: usize) -> u64 {
+    fnv_zeros(fnv(on_disk), bs - on_disk.len())
+}
+
+/// The old and new sums of a partially covered data-file block in one
+/// pass: `old` is the block's on-disk bytes (shorter than `bs` at end of
+/// file) and `new` lands at block offset `lo`. The zero-padded prefix
+/// before `lo` is hashed once; the old sum continues it over the rest of
+/// the old block and the new sum over `new` and the old tail. Both equal
+/// `fnv` of the materialised zero-padded `bs`-byte span.
+fn block_sums(old: &[u8], bs: usize, lo: usize, new: &[u8]) -> (u64, u64) {
+    let hi = lo + new.len();
+    let split = lo.min(old.len());
+    let prefix = fnv_zeros(fnv(&old[..split]), lo - split);
+    let old_sum = fnv_zeros(fnv_extend(prefix, &old[split..]), bs - lo.max(old.len()));
+    let tail = hi.min(old.len());
+    let new_sum =
+        fnv_zeros(fnv_extend(fnv_extend(prefix, new), &old[tail..]), bs - hi.max(old.len()));
+    (old_sum, new_sum)
 }
 
 fn data_path(fh: Fh3) -> String {
@@ -843,19 +889,25 @@ impl PersistentStore {
     /// into a fresh sum, and the new sums hash the *intended* content,
     /// so a torn write fails its next verification. Pre-verification is
     /// skipped during replay: snapshot-era sums legitimately lag the
-    /// durable content the WAL is about to redo.
+    /// durable content the WAL is about to redo. A partial block is read
+    /// and hashed once for both sums ([`block_sums`]); a fully covered
+    /// one hashes the caller's bytes directly.
     fn write_data(&self, idx: &mut Idx, fh: Fh3, offset: u64, bytes: &[u8]) {
         let bs = self.cfg.block_size;
+        let bsz = usize::try_from(bs).expect("bs fits");
         let path = data_path(fh);
         let end = offset + bytes.len() as u64;
         let replaying = idx.replaying;
         let mut b = offset / bs * bs;
         while b < end {
-            let full = b >= offset && b + bs <= end;
-            let mut span = if full {
-                Vec::new()
+            let lo = b.max(offset);
+            let hi = (b + bs).min(end);
+            let new = &bytes[usize::try_from(lo - offset).expect("in write")
+                ..usize::try_from(hi - offset).expect("in write")];
+            let sum = if b >= offset && b + bs <= end {
+                fnv(new)
             } else {
-                match self.disk.read_quiet(&path, b, usize::try_from(bs).expect("bs fits")) {
+                let old = match self.disk.read_quiet(&path, b, bsz) {
                     Ok(Some(v)) => v,
                     Ok(None) => Vec::new(),
                     Err(_) => {
@@ -870,25 +922,21 @@ impl PersistentStore {
                         b += bs;
                         continue;
                     }
+                };
+                let (old_sum, new_sum) =
+                    block_sums(&old, bsz, usize::try_from(lo - b).expect("in block"), new);
+                if !replaying
+                    && idx
+                        .files
+                        .get(&fh)
+                        .and_then(|e| e.data_sums.get(&b))
+                        .is_some_and(|&sum| sum != old_sum)
+                {
+                    self.quarantine(idx, fh, b, b + bs);
                 }
+                new_sum
             };
-            span.resize(usize::try_from(bs).expect("bs fits"), 0);
-            if !full && !replaying {
-                if let Some(&sum) = idx.files.get(&fh).and_then(|e| e.data_sums.get(&b)) {
-                    if fnv(&span) != sum {
-                        self.quarantine(idx, fh, b, b + bs);
-                    }
-                }
-            }
-            let lo = b.max(offset);
-            let hi = (b + bs).min(end);
-            span[usize::try_from(lo - b).expect("in block")
-                ..usize::try_from(hi - b).expect("in block")]
-                .copy_from_slice(
-                    &bytes[usize::try_from(lo - offset).expect("in write")
-                        ..usize::try_from(hi - offset).expect("in write")],
-                );
-            idx.files.entry(fh).or_default().data_sums.insert(b, fnv(&span));
+            idx.files.entry(fh).or_default().data_sums.insert(b, sum);
             b += bs;
         }
         self.disk.write(&path, offset, bytes);
@@ -910,20 +958,16 @@ impl PersistentStore {
             Src::Data { .. } => {
                 let Some(entry) = idx.files.get(&fh) else { return false };
                 let bs = self.cfg.block_size;
+                let bsz = usize::try_from(bs).expect("bs fits");
                 let end = start + ext.len as u64;
                 let mut b = start / bs * bs;
                 while b < end {
                     let Some(&sum) = entry.data_sums.get(&b) else { return false };
-                    let mut span = match self.disk.read_quiet(
-                        &data_path(fh),
-                        b,
-                        usize::try_from(bs).expect("bs fits"),
-                    ) {
+                    let span = match self.disk.read_quiet(&data_path(fh), b, bsz) {
                         Ok(Some(v)) => v,
                         _ => return false,
                     };
-                    span.resize(usize::try_from(bs).expect("bs fits"), 0);
-                    if fnv(&span) != sum {
+                    if block_sum(&span, bsz) != sum {
                         return false;
                     }
                     b += bs;
@@ -1532,6 +1576,7 @@ impl BlockStore for PersistentStore {
 mod tests {
     use super::*;
     use gvfs_netsim::disk::DiskConfig;
+    use proptest::prelude::*;
 
     fn store() -> PersistentStore {
         PersistentStore::open(
@@ -1848,5 +1893,97 @@ mod tests {
         // the replayed data file and verification still catches it.
         assert!(s.disk.corrupt_byte(&data_path(fh), 350, 0x04));
         assert!(s.read(fh, 300, 100).is_none(), "snapshot-era sums still verify");
+    }
+
+    /// The zero-padded block a sum is defined over.
+    fn padded(on_disk: &[u8], bs: usize) -> Vec<u8> {
+        let mut v = on_disk.to_vec();
+        v.resize(bs, 0);
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The single-pass old and new sums of a partially covered
+        /// block, and a fully covered block's direct sum, equal `fnv` of
+        /// the materialised zero-padded span, for old spans of any
+        /// length up to the block (end of file inside the block).
+        #[test]
+        fn single_pass_sums_match_materialised_span(
+            bs in prop_oneof![Just(1usize), Just(64usize), Just(4096usize)],
+            seed in any::<u64>(),
+            cuts in (0u64..=1000, 0u64..=1000, 0u64..=1000),
+        ) {
+            let old_len = (cuts.0 as usize * bs) / 1000;
+            let lo = ((cuts.1 as usize * bs) / 1000).min(bs - 1);
+            let hi = lo + 1 + (cuts.2 as usize * (bs - lo - 1)) / 1000;
+            let bytes: Vec<u8> = (0..bs as u64 * 2)
+                .map(|i| (seed.wrapping_mul(i + 1) >> 24) as u8)
+                .collect();
+            let old = &bytes[..old_len];
+            let new = &bytes[bs..bs + hi - lo];
+            let mut want = padded(old, bs);
+            let want_old = fnv(&want);
+            want[lo..hi].copy_from_slice(new);
+            prop_assert_eq!(block_sums(old, bs, lo, new), (want_old, fnv(&want)));
+            prop_assert_eq!(block_sum(old, bs), want_old);
+            // A fully covered block hashes the caller's slice directly.
+            let full = &bytes[bs..];
+            prop_assert_eq!(fnv(full), fnv(&padded(full, bs)));
+            prop_assert_eq!(block_sums(old, bs, 0, full).1, fnv(full));
+        }
+    }
+
+    /// Through the store: after random writes (holes, end-of-file
+    /// blocks, partially and fully covered blocks) every recorded block
+    /// sum is `fnv` of that block of the data file, zero-padded.
+    #[test]
+    fn recorded_sums_hash_the_padded_data_file_blocks() {
+        let bs = 64u64;
+        let disk = VirtualDisk::new(DiskConfig::instant());
+        let mut s = PersistentStore::open(
+            Arc::clone(&disk),
+            PersistConfig { capacity: 1 << 20, block_size: bs, ..PersistConfig::default() },
+        );
+        let fh = Fh3::from_fileid(3);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..300u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let offset = x % 1500;
+            let len = 1 + (x >> 32) % 200;
+            s.write_dirty(fh, offset, vec![i as u8 ^ 0x5a; len as usize]);
+        }
+        let sums = s.index.lock().files[&fh].data_sums.clone();
+        assert!(sums.len() > 20, "many blocks written");
+        let bsz = bs as usize;
+        for (&b, &sum) in &sums {
+            let on_disk = disk.read(&data_path(fh), b, bsz).unwrap();
+            assert_eq!(sum, fnv(&padded(&on_disk, bsz)), "block {b}");
+        }
+        assert_eq!(s.stats().integrity_failures, 0);
+    }
+
+    /// Pre-verification still reads every on-disk byte of the old
+    /// block: a flipped byte outside the new write fails it, and the
+    /// block is quarantined instead of laundered into a fresh sum.
+    #[test]
+    fn flipped_old_byte_fails_pre_verification() {
+        let mut s = store();
+        let fh = Fh3::from_fileid(1);
+        s.write_dirty(fh, 0, vec![7; 1000]);
+        assert!(s.disk.corrupt_byte(&data_path(fh), 900, 0x10));
+        // Overwrite [0, 100) of the same 32 KiB block, away from the rot.
+        s.write_dirty(fh, 0, vec![8; 100]);
+        assert_eq!(s.stats().integrity_failures, 1);
+        assert_eq!(s.stats().quarantined_blocks, 1);
+        let ev = s.take_integrity_events();
+        assert_eq!(ev.len(), 1);
+        assert!(ev[0].dirty && !ev[0].served, "the rotten dirty bytes are lost, not served");
+        assert_eq!((ev[0].offset, ev[0].len), (0, 1000), "the whole old extent");
+        assert!(s.read(fh, 100, 900).is_none(), "rot is never served");
+        assert_eq!(s.read(fh, 0, 100).unwrap(), vec![8; 100], "the new write stands");
     }
 }

@@ -229,6 +229,12 @@ struct VFile {
     data: Vec<u8>,
     /// Content as of the last global [`VirtualDisk::sync`].
     durable: Vec<u8>,
+    /// Dirty watermark: the lowest offset where `data` may differ from
+    /// `durable` since the last sync, `None` when the two are equal.
+    /// Invariant: `data[..k] == durable[..k]` with `k` no greater than
+    /// either length, so a sync copies only `data[k..]` and a crash
+    /// restores only `durable[k..]`.
+    dirty_from: Option<usize>,
     /// Removed since the last sync: invisible to reads, but the durable
     /// content must survive a crash (an unlink is only durable after a
     /// sync, like a POSIX unlink without a directory fsync).
@@ -240,6 +246,23 @@ struct DiskInner {
     files: HashMap<String, VFile>,
     stats: DiskStats,
     faults: Option<DiskFaultState>,
+}
+
+impl VFile {
+    /// Lowers the dirty watermark to `offset`.
+    fn mark(&mut self, offset: usize) {
+        self.dirty_from = Some(self.dirty_from.map_or(offset, |k| k.min(offset)));
+    }
+
+    /// Clears a removed path for re-creation: fresh content, but the
+    /// durable copy of the old file still governs what a crash restores.
+    fn recreate_if_deleted(&mut self) {
+        if self.deleted {
+            self.deleted = false;
+            self.data.clear();
+            self.mark(0);
+        }
+    }
 }
 
 impl DiskInner {
@@ -370,14 +393,11 @@ impl VirtualDisk {
         inner.stats.writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
         let file = inner.files.entry(path.to_owned()).or_default();
-        if file.deleted {
-            // Re-creating a removed path: fresh content, but the durable
-            // copy of the old file still governs what a crash restores.
-            file.deleted = false;
-            file.data.clear();
-        }
+        file.recreate_if_deleted();
         let off = usize::try_from(offset).expect("offset fits usize");
         let end = off + bytes.len();
+        // A write past the end also zero-fills the hole from the old end.
+        file.mark(off.min(file.data.len()));
         if file.data.len() < end {
             file.data.resize(end, 0);
         }
@@ -399,10 +419,8 @@ impl VirtualDisk {
         inner.stats.writes += 1;
         inner.stats.bytes_written += bytes.len() as u64;
         let file = inner.files.entry(path.to_owned()).or_default();
-        if file.deleted {
-            file.deleted = false;
-            file.data.clear();
-        }
+        file.recreate_if_deleted();
+        file.mark(file.data.len());
         let off = file.data.len() as u64;
         file.data.extend_from_slice(bytes);
         off
@@ -547,11 +565,12 @@ impl VirtualDisk {
         let mut inner = self.inner.lock();
         inner.stats.writes += 1;
         let file = inner.files.entry(path.to_owned()).or_default();
-        if file.deleted {
-            file.deleted = false;
-            file.data.clear();
+        file.recreate_if_deleted();
+        let len = usize::try_from(len).expect("len fits usize");
+        if len < file.data.len() {
+            file.data.truncate(len);
+            file.mark(len);
         }
-        file.data.truncate(usize::try_from(len).expect("len fits usize"));
     }
 
     /// Removes `path` if present. Durable only after the next
@@ -582,9 +601,10 @@ impl VirtualDisk {
         if let Some(mut f) = inner.files.remove(old) {
             // The moved file carries its durable copy; if the target had
             // one it is replaced wholesale (no torn mix across a rename).
-            if let Some(prev) = inner.files.get(new) {
+            if let Some(prev) = inner.files.get_mut(new) {
                 if !prev.durable.is_empty() && f.durable.is_empty() {
-                    f.durable = prev.durable.clone();
+                    f.durable = std::mem::take(&mut prev.durable);
+                    f.mark(0);
                 }
             }
             inner.files.insert(new.to_owned(), f);
@@ -592,13 +612,17 @@ impl VirtualDisk {
     }
 
     /// Durability barrier: everything written so far survives a crash.
+    /// Copies only each file's bytes past its dirty watermark.
     pub fn sync(&self) {
         self.charge(0, self.cfg.write_bps);
         let mut inner = self.inner.lock();
         inner.stats.syncs += 1;
         inner.files.retain(|_, f| !f.deleted);
         for f in inner.files.values_mut() {
-            f.durable = f.data.clone();
+            if let Some(k) = f.dirty_from.take() {
+                f.durable.truncate(k);
+                f.durable.extend_from_slice(&f.data[k..]);
+            }
         }
     }
 
@@ -611,16 +635,21 @@ impl VirtualDisk {
         let mut inner = self.inner.lock();
         inner.stats.crashes += 1;
         inner.files.retain(|_, f| {
+            let k = f.dirty_from.take().unwrap_or(f.data.len());
             if f.deleted {
                 // Unsynced removal: the unlink is lost with the crash.
                 f.deleted = false;
-                f.data = f.durable.clone();
+                f.data.clone_from(&f.durable);
             } else if f.data.len() > f.durable.len() {
                 let torn = (f.data.len() - f.durable.len()) / 2;
                 f.data.truncate(f.durable.len() + torn);
-                f.data[..f.durable.len()].copy_from_slice(&f.durable);
+                f.data[k..f.durable.len()].copy_from_slice(&f.durable[k..]);
+                if torn > 0 {
+                    f.mark(f.durable.len());
+                }
             } else {
-                f.data = f.durable.clone();
+                f.data.truncate(k);
+                f.data.extend_from_slice(&f.durable[k..]);
             }
             !f.data.is_empty() || !f.durable.is_empty()
         });
